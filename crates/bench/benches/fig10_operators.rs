@@ -7,9 +7,10 @@
 use std::hint::black_box;
 use tensorkmc_bench::runner::Criterion;
 use tensorkmc_bench::{paper_stack, random_batch};
+use tensorkmc_compat::pool;
 use tensorkmc_operators::stages::{
     rows_to_nchw, stage1_naive_conv, stage2_matmul, stage3_simd, stage4_fused, stage5_bigfusion,
-    BatchShape,
+    stage5_bigfusion_workers, BatchShape,
 };
 
 fn bench_stages(c: &mut Criterion) {
@@ -38,4 +39,32 @@ fn bench_stages(c: &mut Criterion) {
     g.finish();
 }
 
-tensorkmc_bench::bench_main!(bench_stages);
+/// The measurement behind `BIGFUSION_PAR_MIN_FLOPS`: what one fan-out of
+/// two scoped workers costs with nothing to do (`spawn_join_w2`), and
+/// rung 5 on the paper stack (98 432 FLOPs a row) with one worker against
+/// two, from a few rows to a few thousand. Below the gate both columns run
+/// the inline arm, so `w1` there gives the inline FLOP rate; the break-even
+/// of two workers is `2 · spawn_join · rate`.
+fn bench_gate(c: &mut Criterion) {
+    let stack = paper_stack(3);
+    let mut g = c.benchmark_group("bigfusion_gate");
+    g.sample_size(20);
+    g.bench_function("spawn_join_w2", |b| {
+        let mut cells = [0u8; 2];
+        b.iter(|| pool::par_chunks_mut_threads(2, &mut cells, 1, |i, c| c[0] = black_box(i as u8)))
+    });
+    for m in [8usize, 32, 128, 512, 2048] {
+        let shape = BatchShape { n: m, h: 1, w: 1 };
+        let rows = random_batch(m, 64, 4);
+        for workers in [1usize, 2] {
+            g.bench_function(format!("m{m}_w{workers}"), |b| {
+                b.iter(|| {
+                    black_box(stage5_bigfusion_workers(&stack, &rows, shape, workers).unwrap())
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
+tensorkmc_bench::bench_main!(bench_stages, bench_gate);

@@ -39,8 +39,8 @@ fn bench_kmc_step(c: &mut Criterion) {
 ///
 /// * `serial` — one thread, one kernel call per stale system;
 /// * `parallel` — threaded per-system refresh (PR 3's path);
-/// * `batched` — threaded feature build, one kernel call for the whole
-///   stale set (`batch_systems = 0`).
+/// * `batched` — one evaluator call for the whole stale set
+///   (`batch_systems = 0`): features on the calling thread, one kernel call.
 ///
 /// Each variant runs twice: `dense` (full (1+8)·N_region feature rows per
 /// system, the ablation baseline) and `delta` (affected rows recomputed,
@@ -105,6 +105,42 @@ fn bench_refresh(c: &mut Criterion) {
     g.finish();
 }
 
+/// The measurement behind `PAR_GATHER_MIN_CHUNK` in `core::engine`: the
+/// refresh's clone-and-gather of `n` stale systems inline against fanned
+/// over two scoped workers, at the paper deck's geometry. The two columns
+/// cross where the gathers outweigh one spawn and join.
+fn bench_gather_fanout(c: &mut Criterion) {
+    let model = quickstart::train_small_model(3);
+    let comp = AlloyComposition {
+        cu_fraction: 0.0134,
+        vacancy_fraction: 0.07,
+    };
+    let engine =
+        quickstart::engine_with(&model, 16, comp, 573.0, EvalMode::Cached, 7).expect("engine");
+    let (systems, lattice, geom) = (engine.systems(), engine.lattice(), engine.geometry());
+    let mut g = c.benchmark_group("gather_fanout");
+    g.sample_size(20);
+    for n in [2usize, 16, 64, 128, 256, 512] {
+        assert!(n <= systems.len());
+        for threads in [1usize, 2] {
+            g.bench_function(format!("n{n}_w{threads}"), |b| {
+                b.iter(|| {
+                    black_box(tensorkmc_compat::pool::par_map_collect_threads(
+                        threads,
+                        n,
+                        |j| {
+                            let mut sys = systems[j].clone();
+                            sys.gather_vet(lattice, geom);
+                            sys
+                        },
+                    ))
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_sumtree(c: &mut Criterion) {
     let n = 1 << 16;
     let weights: Vec<f64> = (0..n).map(|i| ((i * 37) % 101) as f64 + 0.5).collect();
@@ -127,4 +163,9 @@ fn bench_sumtree(c: &mut Criterion) {
     g.finish();
 }
 
-tensorkmc_bench::bench_main!(bench_kmc_step, bench_refresh, bench_sumtree);
+tensorkmc_bench::bench_main!(
+    bench_kmc_step,
+    bench_refresh,
+    bench_gather_fanout,
+    bench_sumtree
+);

@@ -4,10 +4,23 @@
 //!
 //! Workers are `std::thread::scope` threads pulling coarse work items from a
 //! shared queue, so borrowed (non-`'static`) data flows into kernels exactly
-//! as it did with rayon scopes. Threads are spawned per call; every call
-//! site already gates on a work-size threshold (e.g. `PAR_ROW_THRESHOLD` in
-//! `nnp/matrix.rs`), so spawn cost is amortised over millisecond-scale
-//! kernels.
+//! as it did with rayon scopes. Threads are spawned per call — 75–90 µs for
+//! two workers on the reference host — so a caller on a hot path must gate
+//! the call on the work it hands over. Where each gate lives:
+//!
+//! * `nnp/matrix.rs`: `PAR_ROW_THRESHOLD` rows before a training matmul
+//!   forks;
+//! * `operators/stages.rs`: `BIGFUSION_PAR_MIN_FLOPS` of kernel work before
+//!   `stage5_bigfusion` spreads its tiles (below it [`max_threads`] is not
+//!   even asked);
+//! * `core/engine.rs`: `PAR_GATHER_MIN_CHUNK` stale systems before the
+//!   refresh fans VET gathers out, `PAR_REFRESH_MIN_BATCH` before the
+//!   per-system arm fans evaluations out over `refresh_threads`.
+//!
+//! `NnpDirectEvaluator` builds features on the calling thread and does not
+//! call this module. The one ungated caller is `sunway::CoreGroup`, where a
+//! launch *is* the modelled event (one kernel on the simulated CPE mesh)
+//! and which no production host path runs.
 
 use std::num::NonZeroUsize;
 use std::sync::Mutex;
@@ -35,9 +48,20 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
+    par_chunks_mut_threads(max_threads(), data, chunk_size, f);
+}
+
+/// [`par_chunks_mut`] with an explicit worker cap instead of the
+/// process-wide [`max_threads`]. `threads ≤ 1` runs inline; the cap is
+/// additionally clamped to the chunk count.
+pub fn par_chunks_mut_threads<T, F>(threads: usize, data: &mut [T], chunk_size: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
     assert!(chunk_size > 0, "chunk_size must be positive");
     let n_chunks = data.len().div_ceil(chunk_size);
-    let workers = max_threads().min(n_chunks);
+    let workers = threads.min(n_chunks);
     if workers <= 1 {
         for (i, chunk) in data.chunks_mut(chunk_size).enumerate() {
             f(i, chunk);

@@ -78,9 +78,19 @@ impl EngineTelemetry {
     }
 }
 
-/// Fewest stale systems worth fanning out: below this the per-call thread
-/// spawn of `compat::pool` costs more than the refreshes it parallelises.
+/// Fewest stale systems worth fanning *evaluations* out over
+/// `refresh_threads` (the parallel per-system arm), and the smallest stale
+/// set that takes the batched arm: one NNP evaluation costs more than the
+/// per-call thread spawn of `compat::pool`.
 const PAR_REFRESH_MIN_BATCH: usize = 2;
+
+/// Fewest systems in one chunk worth fanning the VET *gather* out: a
+/// clone-and-gather is ~1.9 µs, a two-worker spawn and join ~75 µs, and the
+/// workers pull single systems off one locked queue. Measured with `cargo
+/// bench -p tensorkmc-bench --bench kmc_step -- gather_fanout` on the
+/// 2-core reference host: 128 systems take 244 µs inline and 279 µs fanned
+/// out, 256 take 487 µs against 475 µs, 512 take 973 µs against 623 µs.
+const PAR_GATHER_MIN_CHUNK: usize = 256;
 
 /// Default bound of the VET→energy memo cache. At paper geometry one entry
 /// is ~1.2 KB (the VET key dominates), so the default costs a few MB — far
@@ -446,7 +456,8 @@ impl<E: VacancyEnergyEvaluator> KmcEngine<E> {
     /// [`SumTree::set_many`], reproducing the serial float-op sequence):
     ///
     /// * **Batched** (`batch_systems ≠ 1`, the default): VETs of the stale
-    ///   systems are gathered on the scoped thread pool, then each chunk of
+    ///   systems are gathered (on the scoped thread pool from
+    ///   `PAR_GATHER_MIN_CHUNK` systems a chunk), then each chunk of
     ///   up to `batch_systems` systems (`0` = all of them) goes through a
     ///   single [`VacancyEnergyEvaluator::evaluate_states_batch`] call —
     ///   one kernel invocation, one weight fetch — and the rates are
@@ -476,21 +487,11 @@ impl<E: VacancyEnergyEvaluator> KmcEngine<E> {
                 t.refresh_batch.record(refreshed);
                 t.refresh_parallel.scoped()
             });
-            // Gather every stale VET on the pool, probe the memo serially
-            // (it is a &mut structure), then evaluate only the misses in
-            // parallel. Each evaluation is a pure function of its VET, so
-            // skipping the hits changes no bits of the remaining ones.
-            let gathered: Vec<VacancySystem> = {
-                let systems = &self.systems;
-                let lattice = &self.lattice;
-                let geom = &self.geom;
-                let stale = &stale;
-                pool::par_map_collect_threads(threads, stale.len(), |j| {
-                    let mut sys = systems[stale[j]].clone();
-                    sys.gather_vet(lattice, geom);
-                    sys
-                })
-            };
+            // Gather every stale VET, probe the memo serially (it is a
+            // &mut structure), then evaluate only the misses in parallel.
+            // Each evaluation is a pure function of its VET, so skipping
+            // the hits changes no bits of the remaining ones.
+            let gathered = self.gather_systems(&stale);
             let mut energies: Vec<Option<StateEnergies>> = gathered
                 .iter()
                 .map(|sys| self.memo.lookup(&sys.vet))
@@ -561,15 +562,32 @@ impl<E: VacancyEnergyEvaluator> KmcEngine<E> {
         Ok(())
     }
 
-    /// The batched refresh: parallel VET gather, one evaluator call per
-    /// chunk, ordered write-back.
+    /// Clones the systems `ids` names and re-gathers their VETs, in order.
+    /// Gathering only reads the shared lattice, so a chunk of at least
+    /// [`PAR_GATHER_MIN_CHUNK`] systems fans out over `refresh_threads`
+    /// scoped workers; a smaller one runs inline.
+    fn gather_systems(&self, ids: &[usize]) -> Vec<VacancySystem> {
+        let threads = if ids.len() >= PAR_GATHER_MIN_CHUNK {
+            self.config.refresh_threads
+        } else {
+            1
+        };
+        let (systems, lattice, geom) = (&self.systems, &self.lattice, &self.geom);
+        pool::par_map_collect_threads(threads, ids.len(), |j| {
+            let mut sys = systems[ids[j]].clone();
+            sys.gather_vet(lattice, geom);
+            sys
+        })
+    }
+
+    /// The batched refresh: VET gather, one evaluator call per chunk,
+    /// ordered write-back.
     ///
     /// Chunks are consecutive runs of the (ascending) stale list, so
     /// applying each chunk's rates through [`SumTree::set_many`] replays
     /// exactly the serial per-system update sequence — at any
     /// `batch_systems`, any `refresh_threads`, and any chunk boundary.
     fn refresh_batched(&mut self, stale: &[usize], refreshed: u64) -> Result<(), KmcError> {
-        let threads = self.config.refresh_threads.max(1);
         let chunk_cap = match self.config.batch_systems {
             0 => stale.len(),
             n => n,
@@ -578,26 +596,14 @@ impl<E: VacancyEnergyEvaluator> KmcEngine<E> {
         let rows_per_sys = self.evaluator.rows_per_system();
         let par_span = self.telemetry.as_ref().map(|t| {
             t.refresh_batch.record(refreshed);
-            (threads >= 2).then(|| t.refresh_parallel.scoped())
+            (self.config.refresh_threads >= 2).then(|| t.refresh_parallel.scoped())
         });
         for chunk in stale.chunks(chunk_cap) {
-            // Gathering a VET only reads the shared lattice, so the chunk's
-            // gathers run concurrently on the scoped pool (inline when
-            // `threads <= 1`), preserving chunk order.
             let gather_trace = self
                 .telemetry
                 .as_ref()
                 .and_then(|t| t.trace(keys::REFRESH_GATHER));
-            let gathered: Vec<VacancySystem> = {
-                let systems = &self.systems;
-                let lattice = &self.lattice;
-                let geom = &self.geom;
-                pool::par_map_collect_threads(threads, chunk.len(), |j| {
-                    let mut sys = systems[chunk[j]].clone();
-                    sys.gather_vet(lattice, geom);
-                    sys
-                })
-            };
+            let gathered = self.gather_systems(chunk);
             drop(gather_trace);
             // Memo probe before the kernel call: hits drop out of the
             // chunk, misses still share one batched invocation (one weight
@@ -1191,6 +1197,32 @@ mod tests {
             );
             assert_eq!(engine.lattice().as_slice(), ref_engine.lattice().as_slice());
             assert_eq!(engine.stats(), ref_engine.stats());
+        }
+    }
+
+    #[test]
+    fn gather_fan_out_above_its_chunk_gate_is_bit_identical_to_inline() {
+        // The first step refreshes every system: with more vacancies than
+        // PAR_GATHER_MIN_CHUNK the gather really fans out, in the batched
+        // arm (one unbounded chunk) and in the parallel per-system arm.
+        let crowded = AlloyComposition {
+            cu_fraction: 0.05,
+            vacancy_fraction: 0.08,
+        };
+        let mut runs = Vec::new();
+        for (batch, threads) in [(0usize, 1usize), (0, 3), (1, 3)] {
+            let (l, g, e) = small_setup(12, crowded, 51);
+            let mut engine = KmcEngine::new(l, g, e, KmcConfig::thermal_aging_573k(), 53).unwrap();
+            assert!(engine.n_vacancies() >= PAR_GATHER_MIN_CHUNK);
+            engine.set_batch_systems(batch);
+            engine.set_refresh_threads(threads);
+            engine.run_steps(3).unwrap();
+            runs.push(engine);
+        }
+        for engine in &runs[1..] {
+            assert_eq!(engine.lattice().as_slice(), runs[0].lattice().as_slice());
+            assert_eq!(engine.time().to_bits(), runs[0].time().to_bits());
+            assert_eq!(engine.stats(), runs[0].stats());
         }
     }
 

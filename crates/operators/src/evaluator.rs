@@ -8,13 +8,12 @@
 use crate::bigfusion::{bigfusion_on_cg, bigfusion_on_cg_bf16};
 use crate::error::OperatorError;
 use crate::feature_op::{
-    features_cpe, features_cpe_delta, features_serial, features_serial_delta, DeltaFeatures,
-    FeatureOpTables, RowInterner, StateFeatures, UniqueRowPlan, N_STATES,
+    features_cpe, features_cpe_delta, features_serial, features_serial_delta, FeatureOpTables,
+    RowInterner, UniqueRowPlan, N_STATES,
 };
-use crate::stages::{stage4_fused, stage4_fused_bf16, BatchShape};
+use crate::stages::{stage4_fused_bf16, stage5_bigfusion, BatchShape};
 use crate::weights::{Bf16Stack, F32Stack, Precision};
 use std::sync::Arc;
-use tensorkmc_compat::pool;
 use tensorkmc_lattice::{RegionGeometry, Species};
 use tensorkmc_nnp::NnpModel;
 use tensorkmc_potential::FeatureTable;
@@ -280,8 +279,14 @@ fn build_tables(model: &NnpModel, geom: &RegionGeometry) -> (FeatureOpTables, F3
     )
 }
 
-/// Plain-Rust reference evaluator: serial features + fused layer-at-a-time
-/// kernel. This is the "x86 / libtensorflow_cc" execution style of Fig. 11.
+/// The production host evaluator: the serial delta-state feature operator,
+/// content dedup of the packed rows, and the big-fusion kernel
+/// ([`stage5_bigfusion`], rung 5 of the Fig. 10 ladder) over the unique
+/// rows — tiles inline on the calling thread for a small call, spread over
+/// the worker pool for a large one. One pipeline serves every call:
+/// [`state_energies`](VacancyEnergyEvaluator::state_energies) is the
+/// batch of one. The bf16 backend runs the layer-at-a-time
+/// [`stage4_fused_bf16`].
 pub struct NnpDirectEvaluator {
     geom: Arc<RegionGeometry>,
     tables: FeatureOpTables,
@@ -310,10 +315,10 @@ impl NnpDirectEvaluator {
         }
     }
 
-    /// Runs the active backend's fused kernel over `input` rows.
+    /// Runs the active backend's kernel over `input` rows.
     fn infer(&self, input: &[f32], shape: BatchShape) -> Result<Vec<f32>, OperatorError> {
         match self.precision {
-            Precision::F32 => stage4_fused(&self.stack, input, shape),
+            Precision::F32 => stage5_bigfusion(&self.stack, input, shape),
             Precision::Bf16 => stage4_fused_bf16(&self.bf16_stack, input, shape),
         }
     }
@@ -334,169 +339,108 @@ impl NnpDirectEvaluator {
     pub fn stack(&self) -> &F32Stack {
         &self.stack
     }
+
+    /// The miss path, for any number of systems: features → intern →
+    /// kernel → scatter → reduce, all on the calling thread up to the
+    /// kernel. One interner spans the batch, so rows repeated between
+    /// systems are inferred once; interning is sequential in system order,
+    /// so row ids (and the kernel input) are deterministic. Rows are
+    /// independent in the kernel and keep their order, so a batch returns
+    /// the bits its systems would get one at a time.
+    fn evaluate(&self, vets: &[&[Species]]) -> Result<Vec<StateEnergies>, OperatorError> {
+        let n_sys = vets.len();
+        if n_sys == 0 {
+            return Ok(Vec::new());
+        }
+        let nr = self.tables.n_region;
+        let rows_per_sys = N_STATES * nr;
+        let t = self.telemetry.as_ref();
+        // `op.kernel.batch` sees cross-system batches only.
+        let open_kernel_span = |t: &OpTelemetry| match n_sys {
+            1 => t.kernel_span(),
+            n => t.batch_kernel_span(n),
+        };
+        if !self.delta_features {
+            // The dense ablation: every `(1+8)·N_region` row of every
+            // system through the kernel.
+            let feature_span = t.map(|t| t.batch_feature_span(n_sys));
+            let feats = vets
+                .iter()
+                .map(|vet| features_serial(&self.tables, vet))
+                .collect::<Result<Vec<_>, _>>()?;
+            drop(feature_span);
+            let mut batch = Vec::with_capacity(n_sys * rows_per_sys * self.tables.n_features);
+            for s in feats.iter().flat_map(|f| &f.states) {
+                batch.extend_from_slice(s);
+            }
+            if let Some(t) = t {
+                t.record_rows(rows_per_sys * n_sys, 0);
+            }
+            let shape = BatchShape {
+                n: n_sys * N_STATES,
+                h: 1,
+                w: nr,
+            };
+            let kernel_span = t.map(open_kernel_span);
+            let site_energies = self.infer(&batch, shape)?;
+            drop(kernel_span);
+            return Ok(site_energies
+                .chunks(rows_per_sys)
+                .zip(vets)
+                .map(|(block, vet)| reduce_energies(nr, block, vet))
+                .collect());
+        }
+        let feature_span = t.map(|t| t.batch_feature_span(n_sys));
+        let feats = vets
+            .iter()
+            .map(|vet| features_serial_delta(&self.tables, vet))
+            .collect::<Result<Vec<_>, _>>()?;
+        drop(feature_span);
+        let dedup_trace = t.and_then(|t| t.trace_span(keys::OP_DEDUP));
+        let mut interner = RowInterner::new(self.tables.n_features);
+        let plans: Vec<UniqueRowPlan> = feats
+            .iter()
+            .map(|f| UniqueRowPlan::build(&self.tables, f, &mut interner))
+            .collect();
+        drop(dedup_trace);
+        if let Some(t) = t {
+            let packed = self.tables.packed_rows() * n_sys;
+            t.record_rows(packed, rows_per_sys * n_sys - packed);
+            t.record_unique_rows(interner.len());
+        }
+        let shape = BatchShape {
+            n: interner.len(),
+            h: 1,
+            w: 1,
+        };
+        let kernel_span = t.map(open_kernel_span);
+        let energies = self.infer(interner.rows(), shape)?;
+        drop(kernel_span);
+        let scatter_trace = t.and_then(|t| t.trace_span(keys::OP_SCATTER));
+        let mut site_energies = vec![0f32; rows_per_sys];
+        let out = plans
+            .iter()
+            .zip(vets)
+            .map(|(plan, vet)| {
+                plan.scatter(&self.tables, &energies, &mut site_energies);
+                reduce_energies(nr, &site_energies, vet)
+            })
+            .collect();
+        drop(scatter_trace);
+        Ok(out)
+    }
 }
 
 impl VacancyEnergyEvaluator for NnpDirectEvaluator {
     fn state_energies(&self, vet: &[Species]) -> Result<StateEnergies, OperatorError> {
-        if self.delta_features {
-            let feature_span = self.telemetry.as_ref().map(|t| t.feature_span());
-            let feats = features_serial_delta(&self.tables, vet)?;
-            drop(feature_span);
-            let nr = self.tables.n_region;
-            let dedup_trace = self
-                .telemetry
-                .as_ref()
-                .and_then(|t| t.trace_span(keys::OP_DEDUP));
-            let mut interner = RowInterner::new(self.tables.n_features);
-            let plan = UniqueRowPlan::build(&self.tables, &feats, &mut interner);
-            drop(dedup_trace);
-            if let Some(t) = &self.telemetry {
-                let packed = self.tables.packed_rows();
-                t.record_rows(packed, N_STATES * nr - packed);
-                t.record_unique_rows(interner.len());
-            }
-            let shape = BatchShape {
-                n: interner.len(),
-                h: 1,
-                w: 1,
-            };
-            let kernel_span = self.telemetry.as_ref().map(|t| t.kernel_span());
-            let energies = self.infer(interner.rows(), shape)?;
-            drop(kernel_span);
-            let scatter_trace = self
-                .telemetry
-                .as_ref()
-                .and_then(|t| t.trace_span(keys::OP_SCATTER));
-            let mut site_energies = vec![0f32; N_STATES * nr];
-            plan.scatter(&self.tables, &energies, &mut site_energies);
-            let out = reduce_energies(nr, &site_energies, vet);
-            drop(scatter_trace);
-            return Ok(out);
-        }
-        let feature_span = self.telemetry.as_ref().map(|t| t.feature_span());
-        let feats = features_serial(&self.tables, vet)?;
-        drop(feature_span);
-        let nr = feats.n_region;
-        // One batch of 9·N_region rows through the layer-at-a-time kernel.
-        let mut batch = Vec::with_capacity(N_STATES * nr * feats.n_features);
-        for s in &feats.states {
-            batch.extend_from_slice(s);
-        }
-        if let Some(t) = &self.telemetry {
-            t.record_rows(N_STATES * nr, 0);
-        }
-        let shape = BatchShape {
-            n: N_STATES,
-            h: 1,
-            w: nr,
-        };
-        let kernel_span = self.telemetry.as_ref().map(|t| t.kernel_span());
-        let site_energies = self.infer(&batch, shape)?;
-        drop(kernel_span);
-        Ok(reduce_energies(nr, &site_energies, vet))
+        Ok(self.evaluate(&[vet])?[0])
     }
 
-    // Cross-system batching: per-system feature matrices built in parallel
-    // on the scoped pool, then a single layer-at-a-time kernel call over
-    // the concatenated `(1+8)·N_region · n_sys` rows. Rows are independent
-    // and keep their order, so the result is bit-identical to looping
-    // `state_energies`.
     fn evaluate_states_batch(
         &self,
         vets: &[&[Species]],
     ) -> Result<Vec<StateEnergies>, OperatorError> {
-        match vets {
-            [] => return Ok(Vec::new()),
-            [only] => return Ok(vec![self.state_energies(only)?]),
-            _ => {}
-        }
-        let n_sys = vets.len();
-        let nr = self.tables.n_region;
-        if self.delta_features {
-            let feature_span = self.telemetry.as_ref().map(|t| t.batch_feature_span(n_sys));
-            let built: Vec<Result<DeltaFeatures, OperatorError>> =
-                pool::par_map_collect(n_sys, |i| features_serial_delta(&self.tables, vets[i]));
-            drop(feature_span);
-            let mut feats = Vec::with_capacity(n_sys);
-            for f in built {
-                feats.push(f?);
-            }
-            // One interner across the whole batch: rows repeated between
-            // systems are inferred once. Interning is sequential in system
-            // order, so row ids (and the kernel input) are deterministic.
-            let dedup_trace = self
-                .telemetry
-                .as_ref()
-                .and_then(|t| t.trace_span(keys::OP_DEDUP));
-            let mut interner = RowInterner::new(self.tables.n_features);
-            let plans: Vec<UniqueRowPlan> = feats
-                .iter()
-                .map(|f| UniqueRowPlan::build(&self.tables, f, &mut interner))
-                .collect();
-            drop(dedup_trace);
-            if let Some(t) = &self.telemetry {
-                let packed = self.tables.packed_rows() * n_sys;
-                t.record_rows(packed, N_STATES * nr * n_sys - packed);
-                t.record_unique_rows(interner.len());
-            }
-            let shape = BatchShape {
-                n: interner.len(),
-                h: 1,
-                w: 1,
-            };
-            let kernel_span = self.telemetry.as_ref().map(|t| t.batch_kernel_span(n_sys));
-            let energies = self.infer(interner.rows(), shape)?;
-            drop(kernel_span);
-            let scatter_trace = self
-                .telemetry
-                .as_ref()
-                .and_then(|t| t.trace_span(keys::OP_SCATTER));
-            let mut site_energies = vec![0f32; N_STATES * nr];
-            let out = plans
-                .iter()
-                .zip(vets)
-                .map(|(plan, vet)| {
-                    plan.scatter(&self.tables, &energies, &mut site_energies);
-                    reduce_energies(nr, &site_energies, vet)
-                })
-                .collect();
-            drop(scatter_trace);
-            return Ok(out);
-        }
-        let feature_span = self.telemetry.as_ref().map(|t| t.batch_feature_span(n_sys));
-        let built: Vec<Result<StateFeatures, OperatorError>> =
-            pool::par_map_collect(n_sys, |i| features_serial(&self.tables, vets[i]));
-        drop(feature_span);
-        let mut feats = Vec::with_capacity(n_sys);
-        for f in built {
-            feats.push(f?);
-        }
-        let rows_per_sys = N_STATES * nr;
-        let mut batch = Vec::with_capacity(n_sys * rows_per_sys * feats[0].n_features);
-        for f in &feats {
-            for s in &f.states {
-                batch.extend_from_slice(s);
-            }
-        }
-        if let Some(t) = &self.telemetry {
-            t.record_rows(rows_per_sys * n_sys, 0);
-        }
-        let shape = BatchShape {
-            n: n_sys * N_STATES,
-            h: 1,
-            w: nr,
-        };
-        let kernel_span = self.telemetry.as_ref().map(|t| t.batch_kernel_span(n_sys));
-        let site_energies = self.infer(&batch, shape)?;
-        drop(kernel_span);
-        Ok(vets
-            .iter()
-            .enumerate()
-            .map(|(i, vet)| {
-                let block = &site_energies[i * rows_per_sys..(i + 1) * rows_per_sys];
-                reduce_energies(nr, block, vet)
-            })
-            .collect())
+        self.evaluate(vets)
     }
 
     fn geometry(&self) -> &RegionGeometry {
@@ -876,6 +820,48 @@ mod tests {
             sunway.state_energies(vet).unwrap();
         }
         assert_eq!(tc.report().rma_bytes, refs.len() as u64 * one_system);
+    }
+
+    #[test]
+    fn batch_across_the_kernel_gate_equals_per_system_bits() {
+        // Paper architecture and geometry, random weights. Each dilute
+        // system alone stays under BIGFUSION_PAR_MIN_FLOPS (inline kernel
+        // arm); the three together cross it (pooled arm where the host has
+        // more than one thread). Same bits either way.
+        use crate::stages::BIGFUSION_PAR_MIN_FLOPS;
+        let fs = FeatureSet::paper_32();
+        let cfg = ModelConfig::paper(&fs);
+        let model = NnpModel::new(fs, &cfg, &mut StdRng::seed_from_u64(41));
+        let geom = Arc::new(RegionGeometry::new(2.87, 6.5).unwrap());
+        let direct = NnpDirectEvaluator::new(&model, Arc::clone(&geom));
+        let vets: Vec<Vec<Species>> = (0..3usize)
+            .map(|i| {
+                let mut vet = vec![Species::Fe; geom.n_all()];
+                vet[0] = Species::Vacancy;
+                for site in [20, 100] {
+                    vet[site + 37 * i] = Species::Cu;
+                }
+                vet
+            })
+            .collect();
+        let refs: Vec<&[Species]> = vets.iter().map(|v| v.as_slice()).collect();
+        let call_flops = |vets: &[&[Species]]| {
+            let mut interner = RowInterner::new(direct.tables.n_features);
+            for vet in vets {
+                let feats = features_serial_delta(&direct.tables, vet).unwrap();
+                let _ = UniqueRowPlan::build(&direct.tables, &feats, &mut interner);
+            }
+            interner.len() as u64 * direct.stack.flops_per_row()
+        };
+        for vet in &refs {
+            assert!(call_flops(&[vet]) < BIGFUSION_PAR_MIN_FLOPS);
+        }
+        assert!(call_flops(&refs) >= BIGFUSION_PAR_MIN_FLOPS);
+        let batched = direct.evaluate_states_batch(&refs).unwrap();
+        for (vet, b) in refs.iter().zip(&batched) {
+            assert!(b.finals.iter().any(|&f| f != b.initial), "live network");
+            assert_energies_bit_equal(&direct.state_energies(vet).unwrap(), b, "gate");
+        }
     }
 
     #[test]

@@ -25,7 +25,6 @@
 
 use crate::error::OperatorError;
 use crate::N_FINAL_STATES;
-use std::collections::HashMap;
 use tensorkmc_lattice::{RegionGeometry, Species};
 use tensorkmc_potential::FeatureTable;
 use tensorkmc_sunway::CoreGroup;
@@ -549,8 +548,23 @@ pub fn features_cpe_delta(
 pub struct RowInterner {
     n_features: usize,
     rows: Vec<f32>,
-    by_hash: HashMap<u64, Vec<u32>>,
+    /// Hash of each interned row, by row id: a probe compares hashes before
+    /// row bits, and growth re-seats ids without rehashing row data.
+    hashes: Vec<u64>,
+    /// Open-addressed table (linear probing, power-of-two length, at most
+    /// half full) of row ids; [`EMPTY_SLOT`] marks a free slot.
+    slots: Vec<u32>,
+    /// Test hook: hash every row to the same value, so every probe walks a
+    /// collision chain and only the bit-compare tells rows apart.
+    #[cfg(test)]
+    collide_all: bool,
 }
+
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// Slots of a fresh interner: 128 distinct rows before the first growth,
+/// which covers a paper-deck call (~50 distinct rows) without growing.
+const INITIAL_SLOTS: usize = 256;
 
 impl RowInterner {
     /// An empty interner for rows of width `n_features`.
@@ -558,21 +572,33 @@ impl RowInterner {
         RowInterner {
             n_features,
             rows: Vec::new(),
-            by_hash: HashMap::new(),
+            hashes: Vec::new(),
+            slots: vec![EMPTY_SLOT; INITIAL_SLOTS],
+            #[cfg(test)]
+            collide_all: false,
         }
     }
 
-    /// FNV-1a over the row's f32 bit patterns.
-    fn hash(row: &[f32]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &v in row {
-            let bits = v.to_bits();
-            for shift in [0, 8, 16, 24] {
-                h ^= u64::from((bits >> shift) & 0xff);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+    /// Multiply-rotate mix over the row's f32 bit patterns, two per 64-bit
+    /// word, folded so the low bits that index the table depend on every
+    /// word.
+    #[inline]
+    fn hash(&self, row: &[f32]) -> u64 {
+        #[cfg(test)]
+        if self.collide_all {
+            return 0;
         }
-        h
+        const K: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut h = row.len() as u64;
+        let mut pairs = row.chunks_exact(2);
+        for p in &mut pairs {
+            let word = u64::from(p[0].to_bits()) << 32 | u64::from(p[1].to_bits());
+            h = (h.rotate_left(5) ^ word).wrapping_mul(K);
+        }
+        if let [last] = pairs.remainder() {
+            h = (h.rotate_left(5) ^ u64::from(last.to_bits())).wrapping_mul(K);
+        }
+        h ^ (h >> 32)
     }
 
     #[inline]
@@ -580,31 +606,59 @@ impl RowInterner {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
+    /// Doubles the slot table and re-seats every id from its stored hash.
+    /// Ids are all distinct, so no row is compared.
+    fn grow(&mut self) {
+        let mask = self.slots.len() * 2 - 1;
+        let mut slots = vec![EMPTY_SLOT; mask + 1];
+        for (id, &h) in self.hashes.iter().enumerate() {
+            let mut i = h as usize & mask;
+            while slots[i] != EMPTY_SLOT {
+                i = (i + 1) & mask;
+            }
+            slots[i] = id as u32;
+        }
+        self.slots = slots;
+    }
+
     /// Interns one row, returning its id in the packed buffer.
     pub fn intern(&mut self, row: &[f32]) -> u32 {
         debug_assert_eq!(row.len(), self.n_features);
-        let h = Self::hash(row);
-        let candidates = self.by_hash.entry(h).or_default();
-        for &id in candidates.iter() {
-            let start = id as usize * self.n_features;
-            if Self::bits_equal(&self.rows[start..start + self.n_features], row) {
+        let nf = self.n_features;
+        let h = self.hash(row);
+        let mask = self.slots.len() - 1;
+        let mut i = h as usize & mask;
+        loop {
+            let id = self.slots[i];
+            if id == EMPTY_SLOT {
+                break;
+            }
+            let start = id as usize * nf;
+            if self.hashes[id as usize] == h && Self::bits_equal(&self.rows[start..start + nf], row)
+            {
                 return id;
             }
+            i = (i + 1) & mask;
         }
-        let id = (self.rows.len() / self.n_features) as u32;
-        candidates.push(id);
+        let id = self.hashes.len() as u32;
+        assert!(id != EMPTY_SLOT, "row id space exhausted");
+        self.slots[i] = id;
+        self.hashes.push(h);
         self.rows.extend_from_slice(row);
+        if self.hashes.len() * 2 > self.slots.len() {
+            self.grow();
+        }
         id
     }
 
     /// Number of distinct rows interned so far.
     pub fn len(&self) -> usize {
-        self.rows.len() / self.n_features
+        self.hashes.len()
     }
 
     /// True if nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.hashes.is_empty()
     }
 
     /// The packed row buffer, row-major `len() × n_features` — the NNP
@@ -864,6 +918,25 @@ mod tests {
         assert_ne!(z, nz);
         assert_eq!(i.len(), 4);
         assert_eq!(&i.rows()[..2], &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn interner_tells_rows_apart_when_every_hash_collides() {
+        // With one hash for every row the table degenerates to a single
+        // probe chain (wrapping past the table end and surviving growth):
+        // only the full bit-compare can keep distinct rows apart.
+        let mut i = RowInterner::new(3);
+        i.collide_all = true;
+        let row = |k: u32| [k as f32, -(k as f32), f32::from_bits(0x7fc0_0000 | k)];
+        let n = 2 * INITIAL_SLOTS as u32; // two growths
+        for k in 0..n {
+            assert_eq!(i.intern(&row(k)), k, "first occurrence of row {k}");
+        }
+        for k in (0..n).rev() {
+            assert_eq!(i.intern(&row(k)), k, "repeat of row {k}");
+        }
+        assert_eq!(i.len(), n as usize);
+        assert!(i.slots.len() > INITIAL_SLOTS);
     }
 
     #[test]

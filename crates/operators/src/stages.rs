@@ -429,14 +429,81 @@ pub fn stage4_fused_bf16(
 /// stay L1/LDM-resident while the whole stack flows over them.
 pub const BIGFUSION_TILE: usize = 64;
 
+/// Work of one [`stage5_bigfusion`] call, in FLOPs (`m · Σ 2·c_in·c_out`),
+/// from which its tiles are spread over the worker pool; below it they run
+/// inline on the calling thread. Measured with `cargo bench -p
+/// tensorkmc-bench --bench fig10_operators -- bigfusion_gate` on the 2-core
+/// reference host (EXPERIMENTS.md, "Evaluator miss path"): a two-worker
+/// spawn and join costs ~86 µs and the inline arm runs the paper stack at
+/// ~18 GFLOP/s, so two workers break even at ~3 MFLOP (32 paper rows,
+/// 172 µs either way). The constant sits 5× above that, where the fan-out
+/// wins back about a third of the call (12.6 MFLOP: 843 µs → 508 µs).
+pub const BIGFUSION_PAR_MIN_FLOPS: u64 = 16_000_000;
+
+/// One tile of the big-fusion operator: the whole stack over `in_tile`'s
+/// rows, ping-ponging between the two tile activation buffers `a` and `b`
+/// (the two LDM buffers of Fig. 6e, each ≥ `rows × max_width`), final layer
+/// into `out_tile`.
+#[inline]
+fn bigfusion_tile(
+    stack: &F32Stack,
+    in_tile: &[f32],
+    a: &mut [f32],
+    b: &mut [f32],
+    out_tile: &mut [f32],
+) {
+    let rows = in_tile.len() / stack.c_in();
+    a[..in_tile.len()].copy_from_slice(in_tile);
+    let (mut src, mut dst) = (a, b);
+    for l in &stack.layers {
+        fused_layer(&src[..rows * l.c_in], l, rows, &mut dst[..rows * l.c_out]);
+        std::mem::swap(&mut src, &mut dst);
+    }
+    out_tile.copy_from_slice(&src[..out_tile.len()]);
+}
+
 /// Stage 5: the big-fusion operator — all layers merged into a single kernel
-/// over cache-resident row tiles, tiles distributed across the worker pool
-/// (the CPE mesh on the real machine). Only the stack input and the final
+/// over cache-resident row tiles. Only the stack input and the final
 /// energies touch main memory.
+///
+/// The *input* picks the execution: a call below
+/// [`BIGFUSION_PAR_MIN_FLOPS`] walks its tiles inline on the calling thread
+/// with one pair of tile buffers; a call at or above it distributes the
+/// tiles across the worker pool (the CPE mesh on the real machine), each
+/// tile with its own pair. Activations are tile-sized in both arms, never
+/// proportional to `m`. Rows are independent and every row goes through
+/// the same fused-layer loop, so both arms — and [`stage4_fused`] — return
+/// the same bits.
 pub fn stage5_bigfusion(
     stack: &F32Stack,
     input_rows: &[f32],
     shape: BatchShape,
+) -> Result<Vec<f32>, OperatorError> {
+    // The pool is asked for its size only by a call that will use it: the
+    // answer costs ~15 µs (`available_parallelism` reads cgroup files),
+    // as much as a whole small-model kernel call.
+    let workers = if fans_out(stack, shape.m()) {
+        pool::max_threads()
+    } else {
+        1
+    };
+    stage5_bigfusion_workers(stack, input_rows, shape, workers)
+}
+
+/// Whether `m` rows through `stack` are enough work to spread over workers.
+#[inline]
+fn fans_out(stack: &F32Stack, m: usize) -> bool {
+    m as u64 * stack.flops_per_row() >= BIGFUSION_PAR_MIN_FLOPS
+}
+
+/// [`stage5_bigfusion`] with an explicit worker cap instead of the
+/// process-wide [`pool::max_threads`] — for tests and benches that compare
+/// worker counts without touching the process environment.
+pub fn stage5_bigfusion_workers(
+    stack: &F32Stack,
+    input_rows: &[f32],
+    shape: BatchShape,
+    workers: usize,
 ) -> Result<Vec<f32>, OperatorError> {
     let m = shape.m();
     check_batch(input_rows.len(), m * stack.c_in())?;
@@ -444,30 +511,30 @@ pub fn stage5_bigfusion(
     let c_out = stack.c_out();
     let width = stack.max_width();
     let mut out = vec![0f32; m * c_out];
-    pool::par_chunks_mut(&mut out, BIGFUSION_TILE * c_out, |tile, out_tile| {
-        let rows = out_tile.len() / c_out;
-        let in_tile = &input_rows[tile * BIGFUSION_TILE * c_in..][..rows * c_in];
-        // Double-buffered tile activations (the two LDM buffers of
-        // Fig. 6e), reused across layers.
-        let mut a = vec![0f32; rows * width];
-        let mut b = vec![0f32; rows * width];
-        a[..in_tile.len()].copy_from_slice(in_tile);
-        let mut cur_len = in_tile.len() / rows;
-        let mut cur_in_a = true;
-        for l in &stack.layers {
-            debug_assert_eq!(cur_len, l.c_in);
-            let (src, dst) = if cur_in_a {
-                (&a[..], &mut b[..])
-            } else {
-                (&b[..], &mut a[..])
-            };
-            fused_layer(&src[..rows * l.c_in], l, rows, &mut dst[..rows * l.c_out]);
-            cur_len = l.c_out;
-            cur_in_a = !cur_in_a;
+    if workers <= 1 || !fans_out(stack, m) {
+        let tile_rows = m.min(BIGFUSION_TILE);
+        let mut a = vec![0f32; tile_rows * width];
+        let mut b = vec![0f32; tile_rows * width];
+        for (in_tile, out_tile) in input_rows
+            .chunks(BIGFUSION_TILE * c_in)
+            .zip(out.chunks_mut(BIGFUSION_TILE * c_out))
+        {
+            bigfusion_tile(stack, in_tile, &mut a, &mut b, out_tile);
         }
-        let final_buf = if cur_in_a { &a } else { &b };
-        out_tile.copy_from_slice(&final_buf[..rows * c_out]);
-    });
+    } else {
+        pool::par_chunks_mut_threads(
+            workers,
+            &mut out,
+            BIGFUSION_TILE * c_out,
+            |tile, out_tile| {
+                let rows = out_tile.len() / c_out;
+                let in_tile = &input_rows[tile * BIGFUSION_TILE * c_in..][..rows * c_in];
+                let mut a = vec![0f32; rows * width];
+                let mut b = vec![0f32; rows * width];
+                bigfusion_tile(stack, in_tile, &mut a, &mut b, out_tile);
+            },
+        );
+    }
     Ok(out)
 }
 

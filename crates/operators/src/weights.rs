@@ -189,6 +189,15 @@ impl F32Stack {
     pub fn max_width(&self) -> usize {
         self.channels().into_iter().max().unwrap()
     }
+
+    /// Multiply-add work of one input row through the stack,
+    /// `Σ 2·c_in·c_out` FLOPs.
+    pub fn flops_per_row(&self) -> u64 {
+        self.layers
+            .iter()
+            .map(|l| 2 * (l.c_in * l.c_out) as u64)
+            .sum()
+    }
 }
 
 /// One dense layer quantized to bf16 storage (accumulation stays f32).

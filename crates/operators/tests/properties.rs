@@ -2,6 +2,7 @@
 //! the same function, and the physics invariants of the state machinery
 //! (compat::prop harness).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use tensorkmc_compat::prop::check_n;
 use tensorkmc_compat::rng::{Rng, StdRng};
@@ -10,9 +11,9 @@ use tensorkmc_nnp::{ModelConfig, NnpModel};
 use tensorkmc_operators::feature_op::{features_serial, features_serial_delta, FeatureOpTables};
 use tensorkmc_operators::stages::{
     rows_to_nchw, stage1_naive_conv, stage2_matmul, stage3_simd, stage4_fused, stage5_bigfusion,
-    BatchShape,
+    stage5_bigfusion_workers, BatchShape, BIGFUSION_PAR_MIN_FLOPS,
 };
-use tensorkmc_operators::F32Stack;
+use tensorkmc_operators::{F32Stack, RowInterner};
 use tensorkmc_potential::{FeatureSet, FeatureTable};
 
 fn random_stack(seed: u64, channels: Vec<usize>) -> F32Stack {
@@ -52,6 +53,77 @@ fn every_stage_computes_the_same_function() {
             assert!((s1[r] - s4[r]).abs() < tol);
             assert!((s1[r] - s5[r]).abs() < tol);
         }
+    });
+
+    // Rungs 4 and 5 are the same float-op sequence per row, so they agree
+    // bit for bit — around the tile size and on both sides of the FLOP gate
+    // that moves rung 5 from its inline arm to the pooled one, whatever the
+    // worker count.
+    let stack = random_stack(5, vec![8, 16, 8, 1]);
+    let gate = BIGFUSION_PAR_MIN_FLOPS.div_ceil(stack.flops_per_row()) as usize;
+    for m in [1, 63, 64, 65, gate - 1, gate, gate + 65] {
+        let shape = BatchShape { n: m, h: 1, w: 1 };
+        let rows: Vec<f32> = (0..m * 8)
+            .map(|i| ((i as u64 * 2_654_435_761 % 193) as f32) / 96.5 - 1.0)
+            .collect();
+        let s4 = stage4_fused(&stack, &rows, shape).unwrap();
+        for workers in [1, 2, 5] {
+            let s5 = stage5_bigfusion_workers(&stack, &rows, shape, workers).unwrap();
+            assert!(
+                s4.iter().zip(&s5).all(|(a, b)| a.to_bits() == b.to_bits()) && s4.len() == s5.len(),
+                "m = {m}, {workers} workers"
+            );
+        }
+    }
+}
+
+#[test]
+fn interner_matches_the_first_occurrence_reference_model() {
+    check_n(24, |g| {
+        // Reference model: the distinct rows in arrival order, indexed by a
+        // std map. An id is the index of the row's first occurrence and
+        // `rows()` is the concatenation of the first occurrences. The pool
+        // is large enough to grow the slot table several times and opens
+        // with the bit patterns `==` on f32 would confuse.
+        let nf = g.gen_range(1usize..4);
+        let mut pool: Vec<Vec<f32>> = vec![
+            vec![0.0; nf],
+            vec![-0.0; nf],
+            vec![f32::from_bits(0x7fc0_0000); nf],
+            vec![f32::from_bits(0x7fc0_0001); nf],
+            vec![f32::from_bits(0xffc0_0000); nf],
+        ];
+        // Distinct by construction, five bits of `k` per column (the rest
+        // in the last), so many rows share a prefix.
+        for k in 1..g.gen_range(1200u32..1500) {
+            pool.push(
+                (0..nf)
+                    .map(|c| {
+                        let rest = k >> (5 * c);
+                        (if c + 1 == nf { rest } else { rest & 31 }) as f32
+                    })
+                    .collect(),
+            );
+        }
+        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let mut first_seen: HashMap<Vec<u32>, usize> = HashMap::new();
+        let mut packed: Vec<u32> = Vec::new();
+        let mut interner = RowInterner::new(nf);
+        assert!(interner.is_empty());
+        for _ in 0..3 * pool.len() {
+            let row = &pool[g.gen_range(0..pool.len())];
+            let next = first_seen.len();
+            let want = *first_seen.entry(bits(row)).or_insert_with(|| {
+                packed.extend(bits(row));
+                next
+            });
+            assert_eq!(interner.intern(row) as usize, want);
+            assert_eq!(interner.len(), first_seen.len());
+        }
+        // 256 initial slots kept at most half full: row 1025 is the fourth
+        // growth.
+        assert!(interner.len() > 1024, "{} distinct rows", interner.len());
+        assert_eq!(bits(interner.rows()), packed);
     });
 }
 
